@@ -7,7 +7,6 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +24,8 @@ const maxMessages = 8
 // a problem is fully validated and every later one must hash equal.
 type checker struct {
 	wl    *traffic
-	fixed []atomic.Uint64 // per pre-synthesized slot; 0 = not seen yet
-	mu    sync.Mutex      // guards extra and msgs
-	extra map[int]uint64  // slots beyond fixed (on-demand problems)
+	fixed []atomic.Uint64 // per problem slot; 0 = not seen yet
+	mu    sync.Mutex      // guards msgs
 	msgs  []string
 
 	statusFailures atomic.Int64
@@ -37,7 +35,7 @@ type checker struct {
 var bodySeed = maphash.MakeSeed()
 
 func newChecker(wl *traffic) *checker {
-	return &checker{wl: wl, fixed: make([]atomic.Uint64, wl.slots()), extra: map[int]uint64{}}
+	return &checker{wl: wl, fixed: make([]atomic.Uint64, wl.population)}
 }
 
 // responseHash is never 0, which marks an unseen slot.
@@ -77,30 +75,14 @@ func (c *checker) check(ref reqRef, status int, body []byte) bool {
 // record stores h as the slot's expected hash unless one is stored,
 // returning the stored hash and whether h is the first.
 func (c *checker) record(slot int, h uint64) (uint64, bool) {
-	if slot < len(c.fixed) {
-		if c.fixed[slot].CompareAndSwap(0, h) {
-			return h, true
-		}
-		return c.fixed[slot].Load(), false
+	if c.fixed[slot].CompareAndSwap(0, h) {
+		return h, true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.extra[slot]; ok {
-		return prev, false
-	}
-	c.extra[slot] = h
-	return h, true
+	return c.fixed[slot].Load(), false
 }
 
 // expected returns the slot's recorded hash (0 if never seen).
-func (c *checker) expected(slot int) uint64 {
-	if slot < len(c.fixed) {
-		return c.fixed[slot].Load()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.extra[slot]
-}
+func (c *checker) expected(slot int) uint64 { return c.fixed[slot].Load() }
 
 // seen lists every slot with a recorded response, in slot order.
 func (c *checker) seen() []int {
@@ -110,12 +92,6 @@ func (c *checker) seen() []int {
 			out = append(out, i)
 		}
 	}
-	c.mu.Lock()
-	for s := range c.extra {
-		out = append(out, s)
-	}
-	c.mu.Unlock()
-	sort.Ints(out)
 	return out
 }
 

@@ -152,7 +152,7 @@ func (t *tally) count(o outcome) int {
 // request of the stream as soon as their previous one returns, until
 // dur has passed (or, when count > 0, until count requests were sent).
 // With extend set, a timed window runs on past dur, up to twice dur,
-// while an endpoint of the mix still lacks the samples its p95 needs.
+// while an endpoint still lacks the samples its p95 needs.
 type window struct {
 	h       http.Handler
 	wl      *traffic
@@ -184,7 +184,7 @@ func (wd window) run() windowResult {
 	var past [numEndpoints]atomic.Int64
 	enough := func() bool {
 		for e := range past {
-			if wd.wl.mix[e] > 0 && !supportsP95(int(past[e].Load())) {
+			if !supportsP95(int(past[e].Load())) {
 				return false
 			}
 		}

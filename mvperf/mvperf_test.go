@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +20,9 @@ func stream(t *testing.T, name string, seed int64, n int) []byte {
 		t.Fatalf("no workload %q", name)
 	}
 	w := newTraffic(sp, seed)
+	if err := w.synthesize(); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	for i := 0; i < n; i++ {
 		ref := w.at(uint64(i))
@@ -49,7 +55,7 @@ func TestStreamFollowsMix(t *testing.T) {
 			counts[w.at(i).ep]++
 		}
 		for ep, c := range counts {
-			want := float64(n) * float64(sp.mix[ep]) / float64(w.mixTotal)
+			want := float64(n) * float64(mix[ep]) / float64(w.mixTotal)
 			if got := float64(c); got != want {
 				t.Errorf("%s: %d %s requests, want %.0f", sp.name, c, endpoint(ep), want)
 			}
@@ -197,8 +203,11 @@ func TestCheckerRejectsMismatch(t *testing.T) {
 }
 
 func TestValidateWireRoundTrip(t *testing.T) {
-	sp, _ := specByName("cold_grid")
+	sp, _ := specByName("churn_mix")
 	w := newTraffic(sp, 4)
+	if err := w.synthesize(); err != nil {
+		t.Fatal(err)
+	}
 	srv := server.New(server.Options{})
 	defer srv.Close()
 	c := newClient()
@@ -223,7 +232,7 @@ func TestValidateWireRoundTrip(t *testing.T) {
 // TestWindowChecksConcurrently drives a small warmed workload from two
 // clients at once; run it under -race.
 func TestWindowChecksConcurrently(t *testing.T) {
-	sp := spec{name: "tiny", mix: [numEndpoints]int{1, 0, 0}, population: 12, warmAll: true}
+	sp := spec{name: "tiny", population: 12, warmAll: true}
 	w := newTraffic(sp, 2)
 	if err := w.synthesize(); err != nil {
 		t.Fatal(err)
@@ -271,5 +280,58 @@ func TestStreamStratifiesPopularity(t *testing.T) {
 	}
 	if runsWithTop != 100 {
 		t.Errorf("rank 0 drawn in %d of 100 runs, want all", runsWithTop)
+	}
+}
+
+// TestMakeUpIsSeedFree checks the catalogue: every seed's population
+// holds the same problems in each band of popularity ranks, and the
+// catalogue holds each advise kind and dataset size at its share.
+func TestMakeUpIsSeedFree(t *testing.T) {
+	sp, _ := specByName("churn_mix")
+	bands := func(seed int64) []string {
+		w := newTraffic(sp, seed)
+		if err := w.synthesize(); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for ep := endpoint(0); ep < numEndpoints; ep++ {
+			for start := 0; start < len(w.cdfs[ep]); start += bandSize {
+				var band []string
+				for id := start; id < min(start+bandSize, len(w.cdfs[ep])); id++ {
+					band = append(band, string(w.body(reqRef{ep: ep, id: id, slot: w.offsets[ep] + id})))
+				}
+				sort.Strings(band)
+				out = append(out, strings.Join(band, "\n"))
+			}
+		}
+		return out
+	}
+	one := bands(1)
+	for seed := int64(2); seed <= 3; seed++ {
+		if !reflect.DeepEqual(bands(seed), one) {
+			t.Errorf("seed %d: a band of ranks holds other problems than under seed 1", seed)
+		}
+	}
+	// The first band: 36 advise problems.
+	kinds := map[string]int{}
+	rows := map[int64]int{}
+	for _, b := range strings.Split(one[0], "\n") {
+		var r struct {
+			Scenario string `json:"scenario"`
+			Solver   string `json:"solver"`
+			FactRows int64  `json:"fact_rows"`
+		}
+		if err := json.Unmarshal([]byte(b), &r); err != nil {
+			t.Fatal(err)
+		}
+		kinds[r.Scenario+" "+r.Solver]++
+		rows[r.FactRows/5_000_000]++
+	}
+	want := map[string]int{"mv1 ": 6, "mv2 ": 6, "mv3 ": 6, "pareto ": 6, "mv1 search": 4, "mv2 search": 4, "mv3 search": 4}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("advise kinds in the first band %v, want %v", kinds, want)
+	}
+	if !reflect.DeepEqual(rows, map[int64]int{1: 9, 2: 9, 3: 9, 4: 9}) {
+		t.Errorf("dataset sizes in the first band %v, want 9 of each", rows)
 	}
 }

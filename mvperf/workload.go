@@ -34,16 +34,9 @@ func (e endpoint) String() string { return endpointNames[e] }
 // generates from a seed.
 type spec struct {
 	name string
-	// mix weights advise:compare:sweep.
-	mix [numEndpoints]int
 	// population is the number of distinct problems requests repeat
-	// over; 0 means every request is a fresh problem.
+	// over.
 	population int
-	// zipf is the popularity skew over each endpoint's problems.
-	zipf [numEndpoints]float64
-	// searchShare is the share of advise problems solved with
-	// "solver":"search" (mv1 over 10 queries).
-	searchShare float64
 	// respell is the share of requests sent in an alternate but
 	// equivalent spelling (an explicit default field), which misses the
 	// raw-body cache and must canonicalize to the same response.
@@ -52,40 +45,35 @@ type spec struct {
 	// instead replays that many requests of the stream itself.
 	warmAll      bool
 	warmRequests int
-	// pool is how many fresh problems a population-free workload
-	// synthesizes and verifies during setup; later ones are generated
-	// on demand and verified after the run.
-	pool int
 }
+
+// mix weights advise:compare:sweep on every workload: the load
+// generator's default, cheap point advisories with occasional grid
+// studies.
+var mix = [numEndpoints]int{8, 1, 1}
 
 // cacheCapacity is the server's default response-cache entry count;
 // the workloads are sized against it and the run checks the live value.
 const cacheCapacity = 256
 
+// zipfSkew is the popularity skew over each endpoint's problems, the
+// same on every endpoint. At 1.2 about five requests in six hit on
+// churn_mix, so each endpoint's p50 is a hit whose client did not just
+// run a solve; README.md gives the measurements behind the choice.
+const zipfSkew = 1.2
+
 var specs = []spec{
 	{
 		// Only the hit path runs: solver changes must show nothing.
 		name:       "hot_mix",
-		mix:        [numEndpoints]int{8, 1, 1},
 		population: 160,
-		zipf:       [numEndpoints]float64{1.1, 1.1, 1.1},
 		warmAll:    true,
 	},
 	{
-		// Every request is a cold solve; the cache only inserts and
-		// evicts.
-		name: "cold_grid",
-		mix:  [numEndpoints]int{8, 1, 1},
-		pool: 4096,
-	},
-	{
-		// Hits beside inserts, evictions and coalescing (hit share about
-		// 0.75); the only workload that reaches the search solver.
+		// Hits beside inserts, evictions and coalescing; the only
+		// workload that runs solvers, search among them, while measured.
 		name:         "churn_mix",
-		mix:          [numEndpoints]int{8, 1, 1},
 		population:   4 * cacheCapacity,
-		zipf:         [numEndpoints]float64{1.0, 1.5, 1.5},
-		searchShare:  0.4,
 		respell:      0.1,
 		warmRequests: 2 * cacheCapacity,
 	},
@@ -118,8 +106,7 @@ type traffic struct {
 	// (endpoint, id) to a slot.
 	cdfs    [numEndpoints][]float64
 	offsets [numEndpoints]int
-	// bodies[slot][spelling] for population workloads, bodies[n][0]
-	// for the synthesized pool of a population-free workload.
+	// bodies[slot][spelling] is every problem in both spellings.
 	bodies [][2][]byte
 	// canon holds a hash of each synthesized problem's canonical form,
 	// the evidence behind the distinctness check.
@@ -137,7 +124,7 @@ type traffic struct {
 // synthesize.
 func newTraffic(s spec, seed int64) *traffic {
 	w := &traffic{spec: s, seed: uint64(seed)}
-	for e, m := range s.mix {
+	for e, m := range mix {
 		w.firstSlot[e] = w.mixTotal
 		w.mixTotal += m
 		for i := 0; i < m; i++ {
@@ -149,19 +136,17 @@ func newTraffic(s spec, seed int64) *traffic {
 			w.units = append(w.units, a)
 		}
 	}
-	if s.population > 0 {
-		var pops [numEndpoints]int
-		pops[epAdvise] = s.population
-		for e := epCompare; e < numEndpoints; e++ {
-			pops[e] = s.population * s.mix[e] / w.mixTotal
-			pops[epAdvise] -= pops[e]
-		}
-		off := 0
-		for e := endpoint(0); e < numEndpoints; e++ {
-			w.offsets[e] = off
-			off += pops[e]
-			w.cdfs[e] = zipfCDF(pops[e], s.zipf[e])
-		}
+	var pops [numEndpoints]int
+	pops[epAdvise] = s.population
+	for e := epCompare; e < numEndpoints; e++ {
+		pops[e] = s.population * mix[e] / w.mixTotal
+		pops[epAdvise] -= pops[e]
+	}
+	off := 0
+	for e := endpoint(0); e < numEndpoints; e++ {
+		w.offsets[e] = off
+		off += pops[e]
+		w.cdfs[e] = zipfCDF(pops[e], zipfSkew)
 	}
 	return w
 }
@@ -220,11 +205,8 @@ func (w *traffic) at(n uint64) reqRef {
 	hb := splitmix64(w.seed ^ splitmix64(block) ^ 0x6a09e667f3bcc909)
 	slot := (uint64(w.units[hb%uint64(len(w.units))])*pos + hb>>32) % m
 	ep := w.blockEP[slot]
-	if w.population == 0 {
-		return reqRef{ep: ep, id: int(n), slot: int(n)}
-	}
 	// k counts this endpoint's draws: mix[ep] per block.
-	k := block*uint64(w.mix[ep]) + slot - uint64(w.firstSlot[ep])
+	k := block*uint64(mix[ep]) + slot - uint64(w.firstSlot[ep])
 	hs := splitmix64(w.seed ^ splitmix64(k/strata) ^ uint64(ep)<<56 ^ 0xbb67ae8584caa73b)
 	band := ((hs|1)*(k%strata) + hs>>40) % strata
 	h := splitmix64(w.seed ^ splitmix64(n))
@@ -241,33 +223,16 @@ func (w *traffic) at(n uint64) reqRef {
 	return reqRef{ep: ep, id: id, spelling: sp, slot: w.offsets[ep] + id}
 }
 
-// body returns the request body for ref: pre-synthesized when it can
-// be, built on demand otherwise.
-func (w *traffic) body(ref reqRef) []byte {
-	if ref.slot < len(w.bodies) {
-		return w.bodies[ref.slot][ref.spelling]
-	}
-	return w.build(ref.ep, ref.id, ref.spelling)
-}
+// body returns the request body for ref.
+func (w *traffic) body(ref reqRef) []byte { return w.bodies[ref.slot][ref.spelling] }
 
 // refForSlot maps an expected-response slot back to its problem.
 func (w *traffic) refForSlot(slot int) reqRef {
-	if w.population == 0 {
-		return w.at(uint64(slot))
-	}
 	ep := numEndpoints - 1
 	for ep > 0 && slot < w.offsets[ep] {
 		ep--
 	}
 	return reqRef{ep: ep, id: slot - w.offsets[ep], slot: slot}
-}
-
-// slots is the size of the pre-synthesized expected-response table.
-func (w *traffic) slots() int {
-	if w.population > 0 {
-		return w.population
-	}
-	return w.pool
 }
 
 // rowsBase spaces the problem families' dataset sizes; the problem id
@@ -278,21 +243,58 @@ var rowsBase = [...]int64{5_000_000, 10_000_000, 15_000_000, 20_000_000}
 
 const maxProblemID = 5_000_000
 
-// build synthesizes the body of one problem. Every parameter is drawn
-// from a hash of (seed, endpoint, id), so a problem's body does not
-// depend on which other problems were built.
+// adviseKinds is the make-up of advise problems, one block of 18
+// consecutive catalogue problems: the four knapsack scenarios evenly,
+// as the repository's load generator rotates them, and a minority of
+// one in three solved with "solver":"search" over mv1, mv2 and mv3.
+// Search is kept off pareto because a search pareto sweep costs
+// hundreds of milliseconds and would swamp the advise tail.
+var adviseKinds = [...]struct {
+	scenario string
+	search   bool
+}{
+	{"mv1", false}, {"mv1", false}, {"mv1", false},
+	{"mv2", false}, {"mv2", false}, {"mv2", false},
+	{"mv3", false}, {"mv3", false}, {"mv3", false},
+	{"pareto", false}, {"pareto", false}, {"pareto", false},
+	{"mv1", true}, {"mv1", true},
+	{"mv2", true}, {"mv2", true},
+	{"mv3", true}, {"mv3", true},
+}
+
+// catalogueSeed seeds the problem catalogue, which is the same in
+// every run. A run's seed decides which problem sits at which
+// popularity rank, within a band of bandSize ranks, and the order of
+// requests. So each band of ranks holds the same problems whatever the
+// seed, and the mix of costly and cheap problems a run misses on does
+// not swing with it.
+const catalogueSeed = 0x6d7670657266
+
+// bandSize holds every advise kind twice and every dataset size nine
+// times.
+const bandSize = 36
+
+// problemOf maps the problem at popularity rank id to its catalogue
+// index: a seeded permutation within the rank's band.
+func (w *traffic) problemOf(ep endpoint, id int) int {
+	start := id / bandSize * bandSize
+	size := min(bandSize, len(w.cdfs[ep])-start)
+	return start + permutation(w.seed^uint64(ep)<<56, uint64(id/bandSize), size)[id-start]
+}
+
+// build synthesizes the body of the problem at popularity rank id.
+// Each parameter of catalogue problem j is drawn by stratum over the
+// endpoint's catalogue, so the catalogue holds each parameter value at
+// its share in every block of consecutive problems.
 func (w *traffic) build(ep endpoint, id, spelling int) []byte {
-	h := splitmix64(w.seed ^ splitmix64(uint64(ep)<<40^uint64(id)))
-	draw := func(n int) int {
-		h = splitmix64(h)
-		return int(h % uint64(n))
-	}
-	rows := rowsBase[draw(len(rowsBase))] + int64(id)
-	queries := 3 + draw(8)
-	freq := 10 + draw(22)
-	budget := 20 + draw(26)
+	j := w.problemOf(ep, id)
+	param := func(k uint64, n int) int { return stratum(catalogueSeed^uint64(ep)<<56^k<<48, j, n) }
+	rows := rowsBase[param(1, len(rowsBase))] + int64(j)
+	queries := 3 + param(2, 8)
+	freq := 10 + param(3, 22)
+	budget := 20 + param(4, 26)
 	names := pricing.ProviderNames()
-	i := draw(len(names))
+	i := param(5, len(names))
 	a, b := names[i], names[(i+1)%len(names)]
 	if a > b {
 		a, b = b, a
@@ -304,44 +306,26 @@ func (w *traffic) build(ep endpoint, id, spelling int) []byte {
 		if spelling == 1 {
 			buf.WriteString(`"months":1,`)
 		}
-		// Scenario and solver are stratified over problem ids (and so
-		// over popularity ranks): every block of consecutive problems
-		// carries each kind at its share, so the cost of the problems a
-		// run misses on does not swing with the seed. Of the knapsack
-		// scenarios only mv1 (the budget knapsack) costs milliseconds;
-		// mv2, mv3 and pareto cost well under one. An mv1 share of one
-		// eighth keeps the advise median (in the fast mode) and p95 (in
-		// the mv1 mode) away from the edge between the two.
-		search := w.stratum(1, id, 20) < int(math.Round(20*w.searchShare))
-		var scenario int
-		if search {
-			// mv1 over 10 queries only. A search pareto sweep would swamp
-			// the tail; the cheaper search scenarios and query counts
-			// (2–9 ms) would spread the top of the advise latency into a
-			// ramp whose p95 swings with small shifts in the mix.
-			scenario, queries = 0, 10
-		} else {
-			scenario = [8]int{0, 1, 1, 1, 2, 2, 3, 3}[w.stratum(3, id, 8)]
-		}
-		switch scenario {
-		case 0:
+		kind := adviseKinds[param(6, len(adviseKinds))]
+		switch kind.scenario {
+		case "mv1":
 			fmt.Fprintf(&buf, `"scenario":"mv1","budget":%d,`, budget)
-		case 1:
-			fmt.Fprintf(&buf, `"scenario":"mv2","limit":"%dh",`, 2+draw(5))
-		case 2:
-			fmt.Fprintf(&buf, `"scenario":"mv3","alpha":0.%02d,`, 5+draw(91))
+		case "mv2":
+			fmt.Fprintf(&buf, `"scenario":"mv2","limit":"%dh",`, 2+param(7, 5))
+		case "mv3":
+			fmt.Fprintf(&buf, `"scenario":"mv3","alpha":0.%02d,`, 5+param(8, 91))
 		default:
-			fmt.Fprintf(&buf, `"scenario":"pareto","steps":%d,`, 3+draw(5))
+			fmt.Fprintf(&buf, `"scenario":"pareto","steps":%d,`, 3+param(9, 5))
 		}
-		if search {
-			fmt.Fprintf(&buf, `"solver":"search","candidate_budget":16,"seed":%d,`, 1+draw(1000))
+		if kind.search {
+			fmt.Fprintf(&buf, `"solver":"search","candidate_budget":16,"seed":%d,`, 1+param(10, 1000))
 		}
 	case epCompare:
 		if spelling == 1 {
 			buf.WriteString(`"instance_types":["small"],`)
 		}
 		fmt.Fprintf(&buf, `"budget":%d,"limit":"%dh","providers":[%q,%q],"fleet_sizes":[3,5],`,
-			budget, 2+draw(5), a, b)
+			budget, 2+param(7, 5), a, b)
 	case epSweep:
 		if spelling == 1 {
 			buf.WriteString(`"instance_types":["small"],`)
@@ -352,29 +336,34 @@ func (w *traffic) build(ep endpoint, id, spelling int) []byte {
 	return buf.Bytes()
 }
 
-// stratum places problem id in one of size bands: each block of size
-// consecutive ids takes every band once, in an order drawn per block
-// from (seed, salt).
-func (w *traffic) stratum(salt uint64, id, size int) int {
-	h := splitmix64(w.seed ^ salt<<48 ^ splitmix64(uint64(id/size)))
+// stratum places j in one of size bands: each block of size
+// consecutive indexes takes every band once, in an order drawn per
+// block from seed.
+func stratum(seed uint64, j, size int) int {
+	return permutation(seed, uint64(j/size), size)[j%size]
+}
+
+// permutation is a shuffle of 0..size-1 drawn from (seed, block).
+func permutation(seed, block uint64, size int) []int {
+	h := splitmix64(seed ^ splitmix64(block))
 	perm := make([]int, size)
 	for i := range perm {
 		perm[i] = i
 	}
 	for i := size - 1; i > 0; i-- {
 		h = splitmix64(h)
-		j := int(h % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
+		k := int(h % uint64(i+1))
+		perm[i], perm[k] = perm[k], perm[i]
 	}
-	return perm[id%size]
+	return perm
 }
 
-// synthesize builds every pre-synthesized body and checks the
+// synthesize builds every problem body and checks the
 // workload's input properties: each problem canonically distinct from
 // every other, and each alternate spelling canonically equal to its
 // problem.
 func (w *traffic) synthesize() error {
-	n := w.slots()
+	n := w.population
 	w.bodies = make([][2][]byte, n)
 	w.canon = make([]uint64, n)
 	for slot := range w.bodies {
