@@ -530,7 +530,7 @@ func (n normalized) solveCell(shared *core.Shared, k Key, prov pricing.Provider)
 	}
 	// The budget sweep re-prices MV1 at every sweep budget on the cell's
 	// session: the knapsack items and the baseline are already cached, so
-	// each budget costs one DP plus the exact re-bill.
+	// each budget costs one knapsack plus the exact re-bill.
 	if len(n.sweepBudgets) > 0 {
 		out.breakEven = make([]budgetOutcome, 0, len(n.sweepBudgets))
 		sess := adv.Session()

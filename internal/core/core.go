@@ -57,7 +57,7 @@ type Config struct {
 	// Granularity overrides the provider's billing rounding if non-nil.
 	Granularity *units.BillingGranularity
 	// Solver selects the optimization engine: SolverKnapsack (default)
-	// runs the paper's linearized 0/1 knapsack DPs, SolverSearch runs the
+	// runs the paper's linearized 0/1 knapsacks, SolverSearch runs the
 	// exact-evaluator metaheuristics of internal/search, and SolverAuto
 	// picks search once the candidate pool exceeds AutoSearchThreshold
 	// (where the linearization error starts to bite).
@@ -73,7 +73,7 @@ type Config struct {
 	// Ctx, when non-nil, bounds every search-solver solve by wall clock:
 	// at the deadline the search stops at its best incumbent and marks
 	// the recommendation Degraded (see search.Options.Ctx). The knapsack
-	// solver is not interruptible — its DP is microseconds on any real
+	// solver is not interruptible — its knapsack is microseconds on any real
 	// candidate pool — so knapsack results are never degraded. Nil means
 	// no deadline.
 	Ctx context.Context
@@ -462,7 +462,7 @@ func (a *Advisor) searchOpts() search.Options {
 
 // advise runs one scenario through the configured engine and wraps the
 // selection into a recommendation — the single dispatch point between
-// the knapsack DPs and the metaheuristic search. The search path first
+// the knapsack solvers and the metaheuristic search. The search path first
 // solves the (cheap) linearized knapsack and warm-starts from its
 // selection, so a search recommendation is never worse than the
 // knapsack's under the exact re-priced objective — the guarantee the

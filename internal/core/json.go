@@ -138,7 +138,7 @@ func (cj *ConfigJSON) Normalize() error {
 		cj.Solver = SolverKnapsack
 	}
 	if cj.Solver != SolverSearch {
-		// The DP solver is seed-independent; canonicalize the seed away
+		// The knapsack solver is seed-independent; canonicalize the seed away
 		// so spellings cannot fragment the memoization key space.
 		cj.Seed = 0
 	}

@@ -31,3 +31,17 @@ var (
 	SearchEvals = Default.Counter("mvcloud_solver_search_evals_total",
 		"Objective evaluations across all local-search solves.")
 )
+
+// Knapsack work, counted per Knapsack01/MinCostCover call (MV1/MV2
+// solves and break-even budgets). The method label shows whether a call
+// was solved by exact enumeration or fell back to the table DP; the cell
+// count is the DP's table work (items × capacity columns), so a served
+// fall-back to the DP is visible on /metrics.
+var (
+	KnapsackEnumSolves = Default.Counter("mvcloud_knapsack_solves_total",
+		"Knapsack solves (Knapsack01 and MinCostCover) by method.", "method", "enum")
+	KnapsackDPSolves = Default.Counter("mvcloud_knapsack_solves_total",
+		"Knapsack solves (Knapsack01 and MinCostCover) by method.", "method", "dp")
+	KnapsackDPCells = Default.Counter("mvcloud_knapsack_dp_cells_total",
+		"DP table cells (items x capacity columns) filled by knapsack solves above the enumeration bound.")
+)

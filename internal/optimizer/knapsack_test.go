@@ -1,9 +1,13 @@
 package optimizer
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"vmcloud/internal/obs"
 )
 
 // bruteKnapsack maximizes value under the weight cap by enumeration.
@@ -135,10 +139,12 @@ func TestKnapsack01MatchesBruteForce(t *testing.T) {
 }
 
 // Scaled capacities stay feasible (round-up on weights) even when the DP
-// table cannot hold the raw capacity.
+// table cannot hold the raw capacity. n is above enumLimit so the scaled
+// DP, not the enumeration, solves it.
 func TestKnapsack01ScalingStaysFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 12
+	n := 2 * enumLimit
+	dp0 := obs.KnapsackDPSolves.Value()
 	values := make([]int64, n)
 	weights := make([]int64, n)
 	for i := range values {
@@ -155,6 +161,9 @@ func TestKnapsack01ScalingStaysFeasible(t *testing.T) {
 	}
 	if len(idx) == 0 {
 		t.Error("scaled knapsack selected nothing despite generous capacity")
+	}
+	if obs.KnapsackDPSolves.Value() == dp0 {
+		t.Error("instance above enumLimit did not reach the DP")
 	}
 }
 
@@ -240,10 +249,12 @@ func TestMinCostCoverMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// With scaling, covers remain true covers.
+// With scaling, covers remain true covers. n is above enumLimit so the
+// scaled DP, not the enumeration, solves it.
 func TestMinCostCoverScalingStaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := 12
+	n := 2 * enumLimit
+	dp0 := obs.KnapsackDPSolves.Value()
 	costs := make([]int64, n)
 	gains := make([]int64, n)
 	for i := range costs {
@@ -257,6 +268,144 @@ func TestMinCostCoverScalingStaysValid(t *testing.T) {
 	}
 	if got := sumAt(gains, idx); got < need {
 		t.Errorf("scaled cover gain %d < need %d", got, need)
+	}
+	if obs.KnapsackDPSolves.Value() == dp0 {
+		t.Error("instance above enumLimit did not reach the DP")
+	}
+}
+
+// tieInstance draws a small, tie-heavy instance: few distinct values
+// and weights, zero items included, and a bound small enough that the DP
+// never scales.
+func tieInstance(rng *rand.Rand, n int) (a, b []int64, bound int64) {
+	a = make([]int64, n)
+	b = make([]int64, n)
+	for i := range a {
+		a[i] = int64(rng.Intn(4))
+		b[i] = int64(rng.Intn(5))
+	}
+	return a, b, int64(rng.Intn(4*n + 2))
+}
+
+// The enumeration returns exactly the subset the unscaled DP traceback
+// picks — the smallest-mask optimum — so every selection the DP made
+// without scaling is unchanged, index for index.
+func TestKnapsackEnumMatchesUnscaledDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(12)
+		if trial%100 == 0 {
+			n = enumLimit // the full 2^16 walk, kept rare for speed
+		}
+		values, weights, capacity := tieInstance(rng, n)
+		if got, want := knapsackEnum(values, weights, capacity), knapsackDP(values, weights, capacity); !slices.Equal(got, want) {
+			t.Fatalf("Knapsack01(%v, %v, %d): enum %v, dp %v", values, weights, capacity, got, want)
+		}
+		costs, gains, need := tieInstance(rng, n)
+		need++
+		if total, _ := sum(gains); total < need {
+			continue
+		}
+		dp, ok := coverDP(costs, gains, need)
+		if got := coverEnum(costs, gains, need); !ok || !slices.Equal(got, dp) {
+			t.Fatalf("MinCostCover(%v, %v, %d): enum %v, dp %v (ok=%v)", costs, gains, need, got, dp, ok)
+		}
+	}
+}
+
+// servedInstance draws items the way MV1/MV2 build them: cost deltas in
+// micro-dollars ($1–$50) and time savings in nanoseconds (1 s – 10 h).
+func servedInstance(rng *rand.Rand, n int) (micros, nanos []int64) {
+	micros = make([]int64, n)
+	nanos = make([]int64, n)
+	for i := range micros {
+		micros[i] = 1_000_000 + rng.Int63n(49_000_001)
+		nanos[i] = 1_000_000_000 + rng.Int63n(36_000_000_000_000)
+	}
+	return micros, nanos
+}
+
+// At served magnitudes (where the DP used to scale) both solvers are
+// exact for every n up to enumLimit.
+func TestKnapsackServedRegimeIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%enumLimit
+		weights, values := servedInstance(rng, n)
+		total, _ := sum(weights)
+		capacity := rng.Int63n(total + 1)
+		idx, err := Knapsack01(values, weights, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := sumAt(weights, idx); w > capacity {
+			t.Fatalf("n=%d: weight %d over capacity %d", n, w, capacity)
+		}
+		if got, want := sumAt(values, idx), bruteKnapsack(values, weights, capacity); got != want {
+			t.Fatalf("n=%d: Knapsack01 value %d, optimum %d", n, got, want)
+		}
+
+		costs, gains := servedInstance(rng, n)
+		totalGain, _ := sum(gains)
+		need := 1 + rng.Int63n(totalGain)
+		idx, ok, err := MinCostCover(costs, gains, need)
+		if err != nil || !ok {
+			t.Fatalf("n=%d: ok=%v err=%v", n, ok, err)
+		}
+		if g := sumAt(gains, idx); g < need {
+			t.Fatalf("n=%d: gain %d under need %d", n, g, need)
+		}
+		if got, want := sumAt(costs, idx), mustCover(t, costs, gains, need); got != want {
+			t.Fatalf("n=%d: MinCostCover cost %d, optimum %d", n, got, want)
+		}
+	}
+}
+
+func mustCover(t *testing.T, costs, gains []int64, need int64) int64 {
+	t.Helper()
+	c, ok := bruteCover(costs, gains, need)
+	if !ok {
+		t.Fatalf("brute force found no cover of %d", need)
+	}
+	return c
+}
+
+// Sums that would overflow the enumeration's int64 running totals are
+// handed to the scaled DP, whose picks stay feasible.
+func TestKnapsackOverflowFallsBackToDP(t *testing.T) {
+	dp0 := obs.KnapsackDPSolves.Value()
+	big := int64(math.MaxInt64/2 + 1)
+	idx, err := Knapsack01([]int64{1, 2, 3}, []int64{big, big, 1}, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(idx, []int{2}) {
+		t.Errorf("selected %v, want [2]", idx)
+	}
+	gains := []int64{big, big, big}
+	idx, ok, err := MinCostCover([]int64{5, 1, 1}, gains, big)
+	if err != nil || !ok {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	if len(idx) == 0 || gains[idx[0]] < big {
+		t.Errorf("cover %v does not reach the need", idx)
+	}
+	if got := obs.KnapsackDPSolves.Value() - dp0; got != 2 {
+		t.Errorf("%d DP solves, want 2", got)
+	}
+}
+
+// BenchmarkKnapsack01Served is the served shape: a break-even budget or
+// MV1 solve on the 16-cuboid lattice prices 3–6 pay items against a
+// slack of about $20 in micro-dollars.
+func BenchmarkKnapsack01Served(b *testing.B) {
+	values := []int64{5_400_000_000_000, 1_800_000_000_000, 720_000_000_000, 90_000_000_000}
+	weights := []int64{6_200_000, 3_100_000, 2_400_000, 1_300_000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Knapsack01(values, weights, 20_000_000); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

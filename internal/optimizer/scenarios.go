@@ -159,7 +159,7 @@ func (ev *Evaluator) finish(points []lattice.Point, strategy string, feasible fu
 }
 
 // SolveMV1 implements scenario MV1 (Formula 13): minimize workload time
-// subject to total cost ≤ budget, via 0/1 knapsack DP on the items.
+// subject to total cost ≤ budget, via a 0/1 knapsack (Knapsack01) on the items.
 // Views that pay for themselves (CostDelta ≤ 0) are always taken; the
 // budget slack left by the no-view baseline is spent on the rest. If the
 // linearized pick overshoots the exact budget, the lowest-density views
@@ -238,7 +238,7 @@ func (ev *Evaluator) finishItems(items []Item, strategy string, feasible func(ti
 
 // SolveMV2 implements scenario MV2 (Formula 14): minimize total cost
 // subject to workload time ≤ limit. Self-paying views are always taken;
-// if the time limit is still exceeded, a min-cost-coverage DP buys the
+// if the time limit is still exceeded, a min-cost cover (MinCostCover) buys the
 // cheapest additional time savings.
 func (ev *Evaluator) SolveMV2(cands []views.Candidate, limit time.Duration) (Selection, error) {
 	feasible := func(t time.Duration, _ costmodel.Bill) bool { return t <= limit }

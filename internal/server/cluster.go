@@ -253,9 +253,10 @@ func (s *Server) runForward(ctx context.Context, spec memoSpec, label, account, 
 	s.stats.solve()
 	out := s.forward(ctx, spec.endpoint, account, key, cacheKey, em)
 	// The frontend memoizes exactly what a worker would: successful,
-	// non-degraded bodies. Degraded and stale bodies are
-	// timing-dependent; sheds and errors have nothing to cache.
-	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 {
+	// non-degraded bodies of a forward someone still waits for. Degraded
+	// and stale bodies are timing-dependent; sheds and errors have
+	// nothing to cache; abandoned forwards must not warm the cache.
+	if out.err == nil && !out.degraded && !out.shed && len(out.body) > 0 && ctx.Err() == nil {
 		s.cache.Put(cacheKey, out.body)
 	}
 	s.flight.finish(cacheKey, call, out)

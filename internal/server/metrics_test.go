@@ -374,3 +374,34 @@ func TestSolverCountersAdvance(t *testing.T) {
 		t.Errorf("search evals did not advance: %d -> %d", e0, e1)
 	}
 }
+
+// TestKnapsackCountersOnMetrics: a cold compare (MV1/MV2 solves plus its
+// break-even budgets) shows up as enumeration solves on /metrics, and no
+// served solve falls back to the DP table.
+func TestKnapsackCountersOnMetrics(t *testing.T) {
+	s := New(Options{})
+	read := func() (enum, dp, cells float64) {
+		samples := scrape(t, s)
+		enum, _ = findSample(samples, "mvcloud_knapsack_solves_total", map[string]string{"method": "enum"})
+		dp, okDP := findSample(samples, "mvcloud_knapsack_solves_total", map[string]string{"method": "dp"})
+		cells, okCells := findSample(samples, "mvcloud_knapsack_dp_cells_total", nil)
+		if !okDP || !okCells {
+			t.Fatal("knapsack DP series missing from /metrics")
+		}
+		return enum, dp, cells
+	}
+	enum0, dp0, cells0 := read()
+	req := httptest.NewRequest("POST", "/v1/compare", strings.NewReader(compareBody("")))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != 200 {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	enum1, dp1, cells1 := read()
+	if enum1 <= enum0 {
+		t.Errorf("enumeration solves did not advance: %g -> %g", enum0, enum1)
+	}
+	if dp1 != dp0 || cells1 != cells0 {
+		t.Errorf("served compare reached the DP: solves %g -> %g, cells %g -> %g", dp0, dp1, cells0, cells1)
+	}
+}

@@ -599,8 +599,9 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, endpoint 
 }
 
 // finishMemoized is the shared miss path: canonicalize (or reload from
-// the recovered canonical key), re-probe the response cache for
-// differently-spelled equivalents, then solve under the flight group.
+// the recovered canonical key), join the flight group, and as its leader
+// re-probe the response cache (differently-spelled equivalents, a solve
+// that just finished) before solving.
 func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec memoSpec, ps probeState) {
 	key, label, cacheKey := ps.key, ps.label, ps.cacheKey
 	if key == "" {
@@ -614,14 +615,6 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 		}
 		cacheKey = spec.endpoint + "\x00" + ps.account + "\x00" + key
 		s.rawKeys.Put(string(ps.rawKey), []byte(label+"\x00"+cacheKey))
-		// A differently-spelled equivalent request may have already
-		// cached the canonical response.
-		if cached, ok := s.cache.Get(cacheKey); ok {
-			s.stats.advise(spec.endpoint, label, true)
-			writeBody(w, http.StatusOK, cached, "hit")
-			ps.em.observe(outcomeHit, time.Since(ps.start))
-			return
-		}
 	} else if s.cluster == nil {
 		// The canonical key was recovered from the raw-key LRU; rebuild
 		// the handler state the local solve needs. A cluster frontend
@@ -643,6 +636,19 @@ func (s *Server) finishMemoized(w http.ResponseWriter, r *http.Request, spec mem
 	// followers can surface the phase breakdown too.
 	call, leader := s.flight.join(cacheKey)
 	if leader {
+		// The canonical response may already be cached: a
+		// differently-spelled equivalent request solved it, or the
+		// previous leader for this key cached its body and retired the
+		// flight after this request's raw-key probe (Put happens before
+		// finish, so a leader always sees it). Serve it instead of
+		// solving the same key twice.
+		if cached, ok := s.cache.Get(cacheKey); ok {
+			s.flight.finish(cacheKey, call, outcome{body: cached})
+			s.stats.advise(spec.endpoint, label, true)
+			writeBody(w, http.StatusOK, cached, "hit")
+			ps.em.observe(outcomeHit, time.Since(ps.start))
+			return
+		}
 		sctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		s.flight.setCancel(call, cancel)
 		if s.cluster != nil {
@@ -782,8 +788,10 @@ func (s *Server) runSolve(ctx context.Context, spec memoSpec, label, cacheKey st
 	s.m.observePhases(tr)
 	s.logSlowSolve(spec.endpoint, label, tr)
 	// Degraded bodies are timing-dependent — the one kind of response
-	// that must never be memoized.
-	if err == nil && !degraded {
+	// that must never be memoized. Neither is a solve whose context died
+	// while it ran: every waiter has left (or the deadline passed), and
+	// work nobody waited for must not warm the cache.
+	if err == nil && !degraded && ctx.Err() == nil {
 		s.cache.Put(cacheKey, b)
 	}
 	s.flight.finish(cacheKey, call, outcome{body: b, err: err, phases: tr, degraded: degraded, panicked: panicked})

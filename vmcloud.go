@@ -120,7 +120,7 @@ func RandomWorkload(l *Lattice, n, maxFreq int, seed int64) (Workload, error) {
 type AdvisorConfig = core.Config
 
 // Solver names accepted by AdvisorConfig.Solver and
-// CompareRequest.Solver: the paper's linearized knapsack DP (default),
+// CompareRequest.Solver: the paper's linearized knapsack (default),
 // the exact-evaluator metaheuristic search engine, or automatic
 // selection by candidate-pool size.
 const (
